@@ -19,6 +19,8 @@
 //             the first cell twice and aborts on any divergence.
 //   --jobs=N  run independent cells on N workers (0 = all cores). Commits
 //             are in cell order, so output is byte-identical to --jobs=1.
+//   --shards=N run each cell's simulation domains on N >= 1 worker threads
+//             (default 1); output is byte-identical for every N.
 //   --series= re-run the first cell with a TimeSeriesSampler attached and
 //             write per-port queue/mark gauges there (CSV, or JSON when the
 //             path ends in .json). Passive: stdout/JSON are unchanged.
@@ -209,7 +211,7 @@ bool WriteSeries(const BufferSizingConfig& config, const char* path) {
       }
     };
     src->SetWritableCallback(pump);
-    // Match RunBufferSizing: the initial fill runs in the client's shard.
+    // Match RunBufferSizing: the initial fill runs in the client's domain.
     DomainScope in_client(&topo.sim(), topo.client_host(i).domain());
     topo.sim().Schedule(Duration::Zero(), pump);
   }
@@ -225,7 +227,7 @@ bool WriteSeries(const BufferSizingConfig& config, const char* path) {
 int Main(int argc, char** argv) {
   bool smoke = false;
   int jobs = 1;
-  int shards = 0;
+  int shards = 1;
   const char* json_path = nullptr;
   const char* series_path = nullptr;
   for (int i = 1; i < argc; ++i) {

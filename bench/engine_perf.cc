@@ -456,7 +456,7 @@ int Main(int argc, char** argv) {
         return 1;
       }
     } else if (ParseShardsFlag(argv[i], &shards, &shards_ok)) {
-      if (!shards_ok || shards < 1) {
+      if (!shards_ok) {
         std::fprintf(stderr, "invalid %s\n", argv[i]);
         return 1;
       }

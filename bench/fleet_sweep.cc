@@ -25,14 +25,14 @@
 //   --jobs=N run the independent cells on N worker threads (0 = all cores).
 //            Results commit in cell order, so stdout and out.json are
 //            byte-identical to --jobs=1 (DESIGN.md §12; CI compares them).
-//   --shards=N partition each cell's simulation into per-host/per-switch
-//            domains run by N workers (DESIGN.md §16). 0 (default) keeps
-//            the classic engine; output is byte-identical for every N >= 1
-//            (ctest label `shard` compares --shards=1 vs --shards=4).
+//   --shards=N run each cell's per-host/per-switch simulation domains on
+//            N >= 1 worker threads (DESIGN.md §16; default 1). Output is
+//            byte-identical for every N (ctest label `shard` compares the
+//            default run with --shards=4).
 //   --leafspine run every cell on a 2-leaf x 2-spine Clos fabric
 //            (DESIGN.md §17) with two servers instead of the single-switch
 //            star: half the connections cross racks and ECMP-hash over the
-//            spines, and sharded runs get a domain per switch.
+//            spines, and every switch is its own simulation domain.
 //
 // JSON is rendered with fixed-width formatting only: two runs with the same
 // seed are byte-identical (the determinism contract; see DESIGN.md §9).
@@ -113,7 +113,7 @@ int Main(int argc, char** argv) {
   bool smoke = false;
   bool leafspine = false;
   int jobs = 1;
-  int shards = 0;
+  int shards = 1;
   const char* json_path = nullptr;
   const char* trace_path = nullptr;
   const char* series_path = nullptr;

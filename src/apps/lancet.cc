@@ -34,6 +34,10 @@ void LancetClient::BindSocket(TcpEndpoint* socket) {
   }
 }
 
+EventId LancetClient::ScheduleOnHost(Duration delay, Simulator::Callback cb) {
+  return sim_->ScheduleCrossAt(socket_->host()->domain(), sim_->Now() + delay, std::move(cb));
+}
+
 void LancetClient::OnConnectionLost() {
   if (disconnected_) {
     return;
@@ -62,7 +66,7 @@ void LancetClient::ScheduleReconnectAttempt() {
   const double spread =
       1.0 + config_.reconnect.jitter * (2.0 * rng_.Uniform01() - 1.0);
   const Duration wait = Duration::MicrosF(backoff_.ToMicros() * spread);
-  sim_->Schedule(wait, [this] { TryReconnect(); });
+  ScheduleOnHost(wait, [this] { TryReconnect(); });
 }
 
 void LancetClient::TryReconnect() {
@@ -102,7 +106,7 @@ bool LancetClient::InMeasureWindow(TimePoint created) const {
 
 void LancetClient::ScheduleNextArrival() {
   const Duration gap = rng_.ExpInterarrival(config_.rate_rps);
-  sim_->Schedule(gap, [this] {
+  ScheduleOnHost(gap, [this] {
     if (sim_->Now() >= arrivals_end_) {
       return;
     }
@@ -132,7 +136,7 @@ void LancetClient::OnArrival() {
     }
     FlushPipeline();
   } else if (pipeline_timer_ == kInvalidEventId) {
-    pipeline_timer_ = sim_->Schedule(config_.pipeline_flush, [this] {
+    pipeline_timer_ = ScheduleOnHost(config_.pipeline_flush, [this] {
       pipeline_timer_ = kInvalidEventId;
       FlushPipeline();
     });

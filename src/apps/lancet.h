@@ -126,6 +126,9 @@ class LancetClient {
   void BindSocket(TcpEndpoint* socket);
   void ScheduleReconnectAttempt();
   void TryReconnect();
+  // Schedules `cb` after `delay` in the domain of the socket's host: the
+  // generator lives with its endpoint, whichever context started it.
+  EventId ScheduleOnHost(Duration delay, Simulator::Callback cb);
 
   Simulator* sim_;
   TcpEndpoint* socket_;

@@ -21,13 +21,15 @@ class Host {
   // the sink of the peer's link by the topology builder (or, on a switched
   // fabric, the link feeds a switch that forwards on `Packet::dst_host`).
   // `id` is the fabric-wide host address; 0 (the point-to-point default)
-  // means the host is unaddressed.
+  // means the host is unaddressed. `domain` is the simulator domain that
+  // owns the host's event processing (0 on a single-domain simulator): its
+  // cores, NIC, and everything built on them schedule there.
   Host(Simulator* sim, Link* tx_link, const Nic::Config& nic_config, std::string name,
-       uint32_t id = 0)
+       uint32_t id = 0, uint32_t domain = 0)
       : id_(id),
         name_(std::move(name)),
-        app_core_(sim, name_ + ".app"),
-        softirq_core_(sim, name_ + ".softirq"),
+        app_core_(sim, name_ + ".app", domain),
+        softirq_core_(sim, name_ + ".softirq", domain),
         nic_(sim, &softirq_core_, tx_link, nic_config, name_ + ".nic") {}
 
   uint32_t id() const { return id_; }
@@ -36,15 +38,10 @@ class Host {
   CpuCore& softirq_core() { return softirq_core_; }
   Nic& nic() { return nic_; }
 
-  // The simulation shard this host's event processing belongs to (0 = the
-  // global domain, i.e. an unpartitioned run). Set by the topology builder;
-  // drivers wrap host-poking setup in DomainScope(sim, host.domain()).
-  uint32_t domain() const { return domain_; }
-  void set_domain(uint32_t domain) { domain_ = domain; }
+  uint32_t domain() const { return app_core_.domain(); }
 
  private:
   uint32_t id_;
-  uint32_t domain_ = 0;
   std::string name_;
   CpuCore app_core_;
   CpuCore softirq_core_;

@@ -81,9 +81,9 @@ TimePoint Link::Send(Packet packet) {
     tr->Record(e);
   }
 
-  // Delivery fires in the receiver's domain. For an unpartitioned run (or a
-  // link whose endpoints share a shard) this is a plain local push; for a
-  // cross-shard link the engine buffers it for the epoch barrier, which is
+  // Delivery fires in the receiver's domain. On a single-domain simulator
+  // (or a link whose ends share a domain) this is a plain local push; for a
+  // cross-domain link the engine buffers it for the epoch barrier, which is
   // safe because propagation >= the simulator's lookahead window.
   const TimePoint arrival = tx_end + config_.propagation;
   sim_->ScheduleCrossAt(dst_domain_, arrival, [this, packet = std::move(packet)]() mutable {

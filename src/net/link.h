@@ -36,8 +36,8 @@ class Link {
   void SetSink(PacketSink* sink) { sink_ = sink; }
 
   // The simulation domain delivery fires in — the receiving component's
-  // shard. 0 (the default) keeps delivery in the global domain, which is
-  // exactly the pre-sharding behavior for unpartitioned runs.
+  // domain. 0 (the default) is the global domain, the only one on a
+  // single-domain simulator.
   void set_dst_domain(uint32_t domain) { dst_domain_ = domain; }
   uint32_t dst_domain() const { return dst_domain_; }
 

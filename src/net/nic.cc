@@ -55,7 +55,8 @@ bool Nic::Transmit(Packet packet) {
     ++tx_wire_packets_;
   }
   // TX completion: the descriptor is freed once the last bit is serialized.
-  sim_->ScheduleAt(last_bit, [this] {
+  // It belongs to the NIC's host, i.e. its softirq core's domain.
+  sim_->ScheduleCrossAt(softirq_->domain(), last_bit, [this] {
     assert(tx_in_flight_ > 0);
     --tx_in_flight_;
     ++tx_done_backlog_;

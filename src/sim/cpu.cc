@@ -5,7 +5,8 @@
 
 namespace e2e {
 
-CpuCore::CpuCore(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {
+CpuCore::CpuCore(Simulator* sim, std::string name, uint32_t domain)
+    : sim_(sim), name_(std::move(name)), domain_(domain) {
   assert(sim_ != nullptr);
 }
 
@@ -25,7 +26,7 @@ void CpuCore::Stall(Duration d) {
   ++stalls_;
   // Wake when the freeze lifts; stale wakes (from extended stalls) see
   // stalled() still true and do nothing.
-  sim_->ScheduleAt(stalled_until_, [this] { MaybeBegin(); });
+  sim_->ScheduleCrossAt(domain_, stalled_until_, [this] { MaybeBegin(); });
 }
 
 void CpuCore::MaybeBegin() {
@@ -55,7 +56,8 @@ void CpuCore::BeginNext() {
   current_started_ = sim_->Now();
   const Duration cost = work.start();
   assert(cost >= Duration::Zero());
-  sim_->Schedule(cost, [this, done = std::move(work.done), cost] {
+  const TimePoint finish = current_started_ + cost;
+  sim_->ScheduleCrossAt(domain_, finish, [this, done = std::move(work.done), cost] {
     busy_accum_ += cost;
     busy_ = false;
     ++items_done_;

@@ -28,7 +28,10 @@ class CpuCore {
   using StartFn = std::function<Duration()>;
   using DoneFn = std::function<void()>;
 
-  CpuCore(Simulator* sim, std::string name);
+  // `domain` is the simulator domain owning this core (its host's domain;
+  // 0 on a single-domain simulator). Every event the core schedules lands
+  // there, whichever context submitted the work.
+  CpuCore(Simulator* sim, std::string name, uint32_t domain = 0);
   CpuCore(const CpuCore&) = delete;
   CpuCore& operator=(const CpuCore&) = delete;
 
@@ -50,6 +53,7 @@ class CpuCore {
   bool busy() const { return busy_; }
   size_t queue_depth() const { return queue_.size(); }
   const std::string& name() const { return name_; }
+  uint32_t domain() const { return domain_; }
 
   // Cumulative busy time, including the elapsed part of the item currently
   // executing. Utilization over a window is a delta of this divided by the
@@ -70,6 +74,7 @@ class CpuCore {
 
   Simulator* sim_;
   std::string name_;
+  uint32_t domain_;
   std::deque<Work> queue_;
   bool busy_ = false;
   TimePoint current_started_;

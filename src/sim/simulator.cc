@@ -10,7 +10,7 @@
 namespace e2e {
 
 namespace sim_internal {
-thread_local ExecContext g_exec;
+thread_local constinit ExecContext g_exec;
 }  // namespace sim_internal
 
 namespace {
@@ -64,7 +64,6 @@ EventId Simulator::ScheduleAt(TimePoint when, Callback cb) {
 }
 
 EventId Simulator::ScheduleCrossAt(uint32_t dst_domain, TimePoint when, Callback cb) {
-  assert(dst_domain < domains_.size());
   sim_internal::ExecContext& ctx = sim_internal::g_exec;
   Domain* src = CurrentDomain();
   if (dst_domain == src->id) {
@@ -73,6 +72,7 @@ EventId Simulator::ScheduleCrossAt(uint32_t dst_domain, TimePoint when, Callback
     id.domain = src->id;
     return id;
   }
+  assert(dst_domain < domains_.size());
   if (ctx.sim == this && ctx.parallel) {
     // Worker context: the destination runs concurrently. Buffer the message
     // for the barrier merge. The lookahead contract makes that safe: the
@@ -101,60 +101,9 @@ bool Simulator::Cancel(EventId id) {
   return domains_[id.domain].queue.Cancel(id);
 }
 
-// ---------------------------------------------------------------------------
-// Single-domain fast paths: bit-for-bit the pre-sharding engine.
-// ---------------------------------------------------------------------------
+uint64_t Simulator::Run() { return RunEpochs(TimePoint::Max(), /*clamp=*/false); }
 
-bool Simulator::Step() {
-  assert(domains_.size() == 1);
-  if (root_->queue.Empty()) {
-    return false;
-  }
-  EventQueue::Entry entry = root_->queue.Pop();
-  assert(entry.when >= root_->now);
-  root_->now = entry.when;
-  ++root_->events_fired;
-  entry.cb();
-  return true;
-}
-
-uint64_t Simulator::RunLegacy() {
-  uint64_t fired = 0;
-  while (Step()) {
-    ++fired;
-  }
-  return fired;
-}
-
-uint64_t Simulator::RunUntilLegacy(TimePoint deadline) {
-  uint64_t fired = 0;
-  Domain& d = *root_;
-  while (!d.queue.Empty() && d.queue.NextTime() <= deadline) {
-    EventQueue::Entry entry = d.queue.Pop();
-    d.now = entry.when;
-    ++d.events_fired;
-    entry.cb();
-    ++fired;
-  }
-  if (d.now < deadline) {
-    d.now = deadline;
-  }
-  return fired;
-}
-
-uint64_t Simulator::Run() {
-  if (domains_.size() == 1) {
-    return RunLegacy();
-  }
-  return RunSharded(TimePoint::Max(), /*clamp=*/false);
-}
-
-uint64_t Simulator::RunUntil(TimePoint deadline) {
-  if (domains_.size() == 1) {
-    return RunUntilLegacy(deadline);
-  }
-  return RunSharded(deadline, /*clamp=*/true);
-}
+uint64_t Simulator::RunUntil(TimePoint deadline) { return RunEpochs(deadline, /*clamp=*/true); }
 
 uint64_t Simulator::events_fired() const {
   uint64_t total = 0;
@@ -186,16 +135,18 @@ Simulator::QueueOccupancy Simulator::queue_occupancy() const {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engine.
+// The run loop.
 // ---------------------------------------------------------------------------
 
-uint64_t Simulator::RunSharded(TimePoint deadline, bool clamp) {
-  assert(lookahead_ > Duration::Zero());
+uint64_t Simulator::RunEpochs(TimePoint deadline, bool clamp) {
+  const uint32_t n = num_domains();
+  // With only the global domain no epoch ever runs, so no lookahead is
+  // needed: the loop degenerates to popping global events in time order.
+  assert(n == 1 || lookahead_ > Duration::Zero());
   assert(sim_internal::g_exec.sim != this);  // No nested runs.
   const uint64_t fired_before = events_fired();
   SetUpDomainTraces();
   StartWorkers();
-  const uint32_t n = num_domains();
   worker_lanes_.resize(static_cast<size_t>(active_workers_));
   // t_dom — the earliest pending shard event — is maintained incrementally:
   // after each epoch it is the min of the per-worker minima plus the
@@ -231,7 +182,7 @@ uint64_t Simulator::RunSharded(TimePoint deadline, bool clamp) {
         ++root_->events_fired;
         entry.cb();
       }
-      rescan_domains = true;  // Global events may touch any shard queue.
+      rescan_domains = n > 1;  // Global events may touch any shard queue.
       continue;
     }
     // Parallel epoch: each shard runs its events in [t_dom, end_excl). The
@@ -274,12 +225,15 @@ uint64_t Simulator::RunSharded(TimePoint deadline, bool clamp) {
     t_dom = std::min(t_dom, FlushMailboxes());
   }
   StopWorkers();
-  if (clamp) {
-    for (uint32_t d = 0; d < n; ++d) {
-      if (domains_[d].now < deadline) {
-        domains_[d].now = deadline;
-      }
-    }
+  // Leave every clock at one end time — the deadline for RunUntil, the
+  // latest clock once the queues drained for Run — so setup code and global
+  // events after the run see a single time across all domains.
+  TimePoint end_time = clamp ? deadline : root_->now;
+  for (uint32_t d = 0; d < n; ++d) {
+    end_time = std::max(end_time, domains_[d].now);
+  }
+  for (uint32_t d = 0; d < n; ++d) {
+    domains_[d].now = end_time;
   }
   MergeDomainTraces();
   return events_fired() - fired_before;

@@ -1,20 +1,23 @@
-// The discrete-event simulation loop: a virtual clock plus an event queue.
+// The discrete-event simulation engine: virtual clocks plus event queues,
+// run by one loop (DESIGN.md §16).
 //
 // All simulated components share one `Simulator`. Scheduling a callback in
 // the past is an error; scheduling at the current instant is allowed and the
 // callback fires after already-pending events for that instant (FIFO order).
 //
-// ---- Domains: conservative-lookahead parallel DES (DESIGN.md §16) ----
+// ---- Domains: conservative-lookahead parallel DES ----
 //
 // A simulator is partitioned into *domains*. Domain 0 — the global domain —
-// always exists and is the whole simulator in the classic single-threaded
-// mode; every Schedule()/Run() call behaves exactly as it always has when no
-// further domains are added. Drivers that want within-cell parallelism call
-// AddDomain() once per shard (one shard per host or switch), assign each
-// component to its shard, and route cross-shard event handoffs (link
-// arrivals) through ScheduleCrossAt().
+// always exists. A simulator with no other domain (unit tests, two-host
+// kDirect cells) is the loop's degenerate case: every event is a global
+// event and runs in time order on the calling thread; no lookahead is
+// needed. Switched fabrics call AddDomain() once per host and per switch,
+// and every component schedules into the domain that owns it: host-owned
+// components (CPU cores, NICs, TCP endpoint timers, load generators) push
+// into their host's domain through ScheduleCrossAt(), and links route each
+// delivery into the receiver's domain the same way.
 //
-// Execution then proceeds in barrier epochs: with L = SetLookahead() the
+// Execution proceeds in barrier epochs: with L = SetLookahead() the
 // minimum cross-domain link latency, every domain may safely run ahead to
 // (earliest pending event time + L) without seeing another domain's output,
 // because any cross-domain message sent at time t arrives at t + L or later.
@@ -23,16 +26,15 @@
 // (time, source domain, source sequence) order — a total order independent
 // of the worker count, which makes an N-worker run bit-identical to the
 // 1-worker run. Domain-0 events are *global* events (collector ticks,
-// control loops): they run on the coordinator thread with all domains paused
-// and every domain clock advanced to the global event's time, so they may
-// read and mutate any domain's state (wrap mutations that schedule in a
-// DomainScope so timers land in the touched component's domain).
+// control loops): they run on the coordinator thread with all domains
+// paused and every domain clock advanced to the global event's time, so
+// they may read and mutate any domain's state. Outside a run every clock
+// reads the same time, so setup code may poke any component directly.
 //
 // Determinism contract: for a fixed domain layout, results are bit-identical
 // for every worker count (including 1). The *layout* is part of the cell
-// definition — a domain-partitioned run orders same-instant events by
-// (domain, intra-domain seq) rather than global insertion seq, so it is a
-// different (equally valid) serialization than the single-domain run.
+// definition: same-instant events order by (domain, intra-domain seq), so
+// changing the layout is a different (equally valid) serialization.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -69,7 +71,9 @@ struct ExecContext {
   uint32_t domain_id = 0;
   bool parallel = false;  // True only while a worker runs an epoch.
 };
-extern thread_local ExecContext g_exec;
+// constinit: the variable is constant-initialized, so every read is a plain
+// TLS access with no lazy-init wrapper call (Now()/Schedule() are hot).
+extern thread_local constinit ExecContext g_exec;
 
 }  // namespace sim_internal
 
@@ -82,7 +86,7 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // ---- Domain setup (before the first Run*/Step call) ----
+  // ---- Domain setup (before the first Run* call) ----
 
   // Creates a new domain and returns its id (1, 2, ...). Domain 0 (global)
   // always exists. Must not be called while a run is in progress.
@@ -99,7 +103,8 @@ class Simulator {
   int workers() const { return workers_; }
 
   // The conservative lookahead window: a lower bound on the latency of any
-  // cross-domain handoff. Required (> 0) when domains exist.
+  // cross-domain handoff. Required (> 0) once domains beyond the global one
+  // exist.
   void SetLookahead(Duration lookahead) { lookahead_ = lookahead; }
   Duration lookahead() const { return lookahead_; }
 
@@ -127,8 +132,10 @@ class Simulator {
   // make another domain act: from inside a parallel epoch the message is
   // buffered and delivered at the next barrier (requiring when >= sender
   // time + lookahead); from setup / global events it is a direct push. The
-  // returned id is valid only for same-domain deliveries — cross-domain
-  // deliveries return kInvalidEventId and cannot be canceled.
+  // returned id is cancelable for same-domain deliveries and direct pushes;
+  // a message buffered inside an epoch returns kInvalidEventId. Host-owned
+  // components schedule every timer this way, into their own domain, so the
+  // id stays cancelable whichever context armed it.
   EventId ScheduleCrossAt(uint32_t dst_domain, TimePoint when, Callback cb);
 
   // Cancels a pending event; returns false if it already fired/was canceled.
@@ -148,9 +155,6 @@ class Simulator {
 
   // Convenience: RunUntil(Now() + d).
   uint64_t RunFor(Duration d) { return RunUntil(Now() + d); }
-
-  // Executes exactly one event if any is pending. Single-domain only.
-  bool Step();
 
   // Total events executed over the simulator's lifetime (all domains).
   uint64_t events_fired() const;
@@ -221,14 +225,10 @@ class Simulator {
     return ctx.sim == this ? static_cast<Domain*>(ctx.domain) : root_;
   }
 
-  // Single-domain fast paths (bit-for-bit the pre-domain engine).
-  uint64_t RunLegacy();
-  uint64_t RunUntilLegacy(TimePoint deadline);
-
-  // Parallel engine: runs global events and barrier epochs up to `deadline`
-  // (inclusive). When `clamp` is set, advances every clock to `deadline`
-  // after the last event.
-  uint64_t RunSharded(TimePoint deadline, bool clamp);
+  // The run loop behind Run()/RunUntil(): global events and barrier epochs
+  // up to `deadline` (inclusive). On exit every clock reads one time: the
+  // deadline when `clamp` is set, else the latest clock.
+  uint64_t RunEpochs(TimePoint deadline, bool clamp);
 
   // Runs worker `worker_id`'s share of the current epoch by draining the
   // worker's lane heap: every owned domain with a pending event before
@@ -315,10 +315,10 @@ class Simulator {
 };
 
 // Binds the calling thread to `domain` for the scope: Now() reads that
-// domain's clock and Schedule()/timer arms land in its queue. For setup-time
-// construction of components that live in a shard, and for global events
-// that poke a shard's component (e.g. a control loop toggling an endpoint
-// option). Must not be used inside a parallel epoch.
+// domain's clock and plain Schedule() calls land in its queue. For driver
+// closures that belong to a domain (e.g. a traffic pump scheduled from
+// setup) — components already schedule into their own domain and need no
+// scope. Must not be used inside a parallel epoch.
 class DomainScope {
  public:
   DomainScope(Simulator* sim, uint32_t domain);

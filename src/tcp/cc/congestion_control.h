@@ -90,9 +90,6 @@ struct CcConfig {
 
 class CongestionControlAlgorithm {
  public:
-  // Lets pre-pluggable call sites keep writing CongestionControl::Config.
-  using Config = CcConfig;
-
   explicit CongestionControlAlgorithm(const CcConfig& config);
   virtual ~CongestionControlAlgorithm() = default;
 

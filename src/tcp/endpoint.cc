@@ -205,7 +205,7 @@ void TcpEndpoint::RequestExchange() {
   force_exchange_ = true;
   // Give outbound data a short window to piggyback the option; if nothing
   // carries it by then, fall back to a pure ack.
-  sim_->Schedule(Duration::Micros(100), [this] {
+  StartTimer(Duration::Micros(100), [this] {
     if (force_exchange_) {
       SubmitPush(&host_->softirq_core(), PushReason::kExchangeTimer);
     }
@@ -966,6 +966,10 @@ void TcpEndpoint::OnAckSent(uint64_t acked_to) {
 // Timers.
 // ---------------------------------------------------------------------------
 
+EventId TcpEndpoint::StartTimer(Duration delay, Simulator::Callback cb) {
+  return sim_->ScheduleCrossAt(host_->domain(), sim_->Now() + delay, std::move(cb));
+}
+
 void TcpEndpoint::CancelTimer(EventId& id) {
   if (id != kInvalidEventId) {
     sim_->Cancel(id);
@@ -977,7 +981,7 @@ void TcpEndpoint::ArmDelackTimer() {
   if (delack_timer_ != kInvalidEventId) {
     return;
   }
-  delack_timer_ = sim_->Schedule(config_.delack_timeout, [this] {
+  delack_timer_ = StartTimer(config_.delack_timeout, [this] {
     delack_timer_ = kInvalidEventId;
     ++stats_.delack_timer_fires;
     SubmitPush(&host_->softirq_core(), PushReason::kDelackTimer);
@@ -988,7 +992,7 @@ void TcpEndpoint::ArmNagleTimer() {
   if (nagle_timer_ != kInvalidEventId) {
     return;
   }
-  nagle_timer_ = sim_->Schedule(config_.nagle_timeout, [this] {
+  nagle_timer_ = StartTimer(config_.nagle_timeout, [this] {
     nagle_timer_ = kInvalidEventId;
     ++stats_.nagle_timer_fires;
     SubmitPush(&host_->softirq_core(), PushReason::kNagleTimer);
@@ -1008,7 +1012,7 @@ void TcpEndpoint::ArmPersistTimer() {
     interval = interval * 2;
   }
   interval = std::min(interval, config_.persist_max_interval);
-  persist_timer_ = sim_->Schedule(interval, [this] {
+  persist_timer_ = StartTimer(interval, [this] {
     persist_timer_ = kInvalidEventId;
     if (dead_) {
       return;
@@ -1066,7 +1070,7 @@ void TcpEndpoint::ArmRtoTimer() {
       is_tlp = true;
     }
   }
-  rto_timer_ = sim_->Schedule(delay, [this, is_tlp] {
+  rto_timer_ = StartTimer(delay, [this, is_tlp] {
     rto_timer_ = kInvalidEventId;
     if (is_tlp) {
       OnTlpFire();
@@ -1363,7 +1367,7 @@ void TcpEndpoint::ArmRackTimer(Duration delay) {
   if (rack_timer_ != kInvalidEventId) {
     return;  // The pending check re-evaluates and re-arms as needed.
   }
-  rack_timer_ = sim_->Schedule(delay, [this] {
+  rack_timer_ = StartTimer(delay, [this] {
     rack_timer_ = kInvalidEventId;
     if (dead_) {
       return;
@@ -1415,7 +1419,7 @@ void TcpEndpoint::ArmKeepaliveTimer(Duration delay) {
   if (keepalive_timer_ != kInvalidEventId) {
     return;
   }
-  keepalive_timer_ = sim_->Schedule(delay, [this] {
+  keepalive_timer_ = StartTimer(delay, [this] {
     keepalive_timer_ = kInvalidEventId;
     OnKeepaliveFire();
   });
@@ -1499,7 +1503,7 @@ void TcpEndpoint::DeclareDeadPeer(const char* reason) {
 }
 
 void TcpEndpoint::ScheduleExchangeTimer() {
-  exchange_timer_ = sim_->Schedule(config_.e2e_exchange_interval, [this] {
+  exchange_timer_ = StartTimer(config_.e2e_exchange_interval, [this] {
     if (sim_->Now() - last_exchange_sent_ >= config_.e2e_exchange_interval) {
       SubmitPush(&host_->softirq_core(), PushReason::kExchangeTimer);
     }

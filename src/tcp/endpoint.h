@@ -315,6 +315,10 @@ class TcpEndpoint {
   // the peer's window is closed, probe with one byte so a lost window
   // update cannot deadlock the connection.
   void ArmPersistTimer();
+  // Schedules a timer `delay` from now in the host's domain, so setup code
+  // and global events may poke the endpoint and the host's domain can still
+  // cancel what they armed.
+  EventId StartTimer(Duration delay, Simulator::Callback cb);
   void CancelTimer(EventId& id);
   void ScheduleExchangeTimer();
   void OnAckSent(uint64_t acked_to);  // Updates rcv_wup_ + ackdelay queues.

@@ -21,9 +21,6 @@ TcpStack::TcpStack(Simulator* sim, Host* host, const StackCosts& costs)
 }
 
 TcpEndpoint* TcpStack::CreateEndpoint(uint64_t conn_id, bool is_a, const TcpConfig& config) {
-  // The endpoint ctor arms timers (exchange, keepalive); on a sharded run
-  // those must land in the host's own shard queue, not the global one.
-  DomainScope in_host_domain(sim_, host_->domain());
   TcpEndpoint* raw = arena_.New(sim_, host_, conn_id, is_a, config, &costs_, &endpoint_mem_);
   const uint64_t key = KeyFor(conn_id, is_a);
   assert(endpoints_.find(key) == endpoints_.end());

@@ -117,8 +117,8 @@ BufferSizingResult RunBufferSizing(const BufferSizingConfig& config) {
       }
     };
     src->SetWritableCallback(pump);
-    // The initial fill (and the CPU work Send() prices) belongs to the
-    // client's shard, not the global domain.
+    // The initial fill is the client's own action: an event in its host's
+    // domain rather than a global event that would pause every domain.
     DomainScope in_client(&sim, topo.client_host(i).domain());
     sim.Schedule(Duration::Zero(), pump);
   }

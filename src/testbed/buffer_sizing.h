@@ -70,9 +70,9 @@ struct BufferSizingConfig {
   Duration sample_interval = Duration::Micros(50);  // Queue/cwnd sampling.
   uint64_t seed = 7;
 
-  // Passed through to FabricConfig::shards (0 = classic engine; >= 1 runs
-  // domain-partitioned, bit-identical across values >= 1).
-  int shards = 0;
+  // Passed through to FabricConfig::shards: engine worker threads (>= 1;
+  // output is bit-identical for every value).
+  int shards = 1;
 };
 
 struct BufferSizingResult {

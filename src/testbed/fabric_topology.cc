@@ -54,14 +54,17 @@ FabricTopology::FabricTopology(const FabricConfig& config) : config_(config) {
   assert(!IsLeafSpine() || (config_.num_leaves >= 1 && config_.num_spines >= 1));
   client_at_.resize(config_.num_clients);
   server_at_.resize(config_.num_servers);
-  // Domain layout for sharded runs: one domain per host and per switch, in
-  // a fixed order (clients, servers, switches; leaves before spines), so
-  // the layout — and with it the execution order — depends only on the
-  // topology, never on the worker count. kDirect has no fabric hop to use
-  // as the lookahead window and keeps the classic single-domain engine
-  // regardless of `shards`.
-  sharded_ = config_.shards >= 1 && config_.shape != FabricShape::kDirect;
-  if (sharded_) {
+  assert(config_.shards >= 1);
+  if (config_.shape == FabricShape::kDirect) {
+    // Two hosts on one full-duplex link: nothing to cut across, so the cell
+    // is the engine's single-domain case.
+    assert(config_.num_clients == 1 && config_.num_servers == 1);
+    BuildDirect();
+  } else {
+    // Every switched shape is domain-partitioned: one domain per host and
+    // per switch, in a fixed order (clients, servers, switches; leaves
+    // before spines), so the layout — and with it the execution order —
+    // depends only on the topology, never on the worker count.
     for (int i = 0; i < config_.num_clients; ++i) {
       client_domains_.push_back(sim_.AddDomain());
     }
@@ -78,16 +81,11 @@ FabricTopology::FabricTopology(const FabricConfig& config) : config_(config) {
       switch_domains_.push_back(sim_.AddDomain());
     }
     sim_.SetWorkers(config_.shards);
-  }
-  if (config_.shape == FabricShape::kDirect) {
-    assert(config_.num_clients == 1 && config_.num_servers == 1);
-    BuildDirect();
-  } else if (IsLeafSpine()) {
-    BuildLeafSpine();
-  } else {
-    BuildSwitched();
-  }
-  if (sharded_) {
+    if (IsLeafSpine()) {
+      BuildLeafSpine();
+    } else {
+      BuildSwitched();
+    }
     // The conservative lookahead: every cross-domain handoff is a link
     // traversal, so the minimum propagation across the fabric bounds how
     // far any domain may safely run ahead of the others. Link schedules can
@@ -161,9 +159,9 @@ void FabricTopology::BuildDirect() {
 }
 
 // Attach one host to `sw`: uplink into the switch, a dedicated output port +
-// downlink back, and a forwarding entry for the host id. On sharded runs
-// each link's delivery domain is its receiver's: the uplink fires in the
-// switch's shard, the downlink in the host's.
+// downlink back, and a forwarding entry for the host id. Each link's
+// delivery domain is its receiver's: the uplink fires in the switch's
+// domain, the downlink in the host's.
 void FabricTopology::AttachHost(Switch* sw, const FabricHostSpec& spec, const char* side,
                                 int index, int count, uint32_t host_id,
                                 const SwitchPortConfig& port_config,
@@ -180,8 +178,8 @@ void FabricTopology::AttachHost(Switch* sw, const FabricHostSpec& spec, const ch
   at->downlink->set_dst_domain(host_domain);
   const size_t port = sw->AddPort(at->downlink, port_config, sw->name() + "." + name);
   sw->SetRoute(host_id, port);
-  hosts->push_back(std::make_unique<Host>(&sim_, at->uplink, spec.nic, name, host_id));
-  hosts->back()->set_domain(host_domain);
+  hosts->push_back(
+      std::make_unique<Host>(&sim_, at->uplink, spec.nic, name, host_id, host_domain));
 }
 
 void FabricTopology::FinishAllRxPaths() {
@@ -214,17 +212,17 @@ void FabricTopology::BuildSwitched() {
   client_switch_idx_ = 0;
   server_switch_idx_ = switches_.size() - 1;
 
-  const uint32_t left_domain = sharded_ ? switch_domains_.front() : 0;
-  const uint32_t right_domain = sharded_ ? switch_domains_.back() : 0;
+  const uint32_t left_domain = switch_domains_.front();
+  const uint32_t right_domain = switch_domains_.back();
   for (int i = 0; i < config_.num_clients; ++i) {
     const uint32_t id = static_cast<uint32_t>(i + 1);
     AttachHost(left, config_.client, "client", i, config_.num_clients, id, config_.client_port,
-               &client_hosts_, &client_at_[i], sharded_ ? client_domains_[i] : 0, left_domain);
+               &client_hosts_, &client_at_[i], client_domains_[i], left_domain);
   }
   for (int i = 0; i < config_.num_servers; ++i) {
     const uint32_t id = static_cast<uint32_t>(config_.num_clients + i + 1);
     AttachHost(right, config_.server, "server", i, config_.num_servers, id, config_.server_port,
-               &server_hosts_, &server_at_[i], sharded_ ? server_domains_[i] : 0, right_domain);
+               &server_hosts_, &server_at_[i], server_domains_[i], right_domain);
   }
 
   if (dumbbell) {
@@ -263,8 +261,8 @@ void FabricTopology::BuildLeafSpine() {
   // (both leaf 0 under round-robin placement, the pinned rack otherwise).
   client_switch_idx_ = static_cast<size_t>(client_leaf(0));
   server_switch_idx_ = static_cast<size_t>(server_leaf(0));
-  const auto leaf_domain = [&](int l) { return sharded_ ? switch_domains_[l] : 0; };
-  const auto spine_domain = [&](int s) { return sharded_ ? switch_domains_[leaves + s] : 0; };
+  const auto leaf_domain = [&](int l) { return switch_domains_[l]; };
+  const auto spine_domain = [&](int s) { return switch_domains_[leaves + s]; };
 
   // Hosts round-robin over the racks; the leaf routes its local hosts
   // directly (AttachHost installs the route).
@@ -272,15 +270,15 @@ void FabricTopology::BuildLeafSpine() {
     const uint32_t id = static_cast<uint32_t>(i + 1);
     const int l = client_leaf(i);
     AttachHost(switches_[l].get(), config_.client, "client", i, config_.num_clients, id,
-               config_.client_port, &client_hosts_, &client_at_[i],
-               sharded_ ? client_domains_[i] : 0, leaf_domain(l));
+               config_.client_port, &client_hosts_, &client_at_[i], client_domains_[i],
+               leaf_domain(l));
   }
   for (int i = 0; i < config_.num_servers; ++i) {
     const uint32_t id = static_cast<uint32_t>(config_.num_clients + i + 1);
     const int l = server_leaf(i);
     AttachHost(switches_[l].get(), config_.server, "server", i, config_.num_servers, id,
-               config_.server_port, &server_hosts_, &server_at_[i],
-               sharded_ ? server_domains_[i] : 0, leaf_domain(l));
+               config_.server_port, &server_hosts_, &server_at_[i], server_domains_[i],
+               leaf_domain(l));
   }
 
   // Full bipartite leaf<->spine mesh: one link per direction per pair. The

@@ -150,14 +150,13 @@ struct FabricConfig {
 
   uint64_t seed = 42;
 
-  // Within-cell parallel DES (DESIGN.md §16). 0 = the classic
-  // single-threaded engine, untouched. >= 1 partitions the simulation into
-  // one domain per host plus one per switch and runs barrier epochs with
-  // `shards` worker threads; results are bit-identical for every value
-  // >= 1 (the domain layout is fixed — workers only change which thread
-  // executes which domain). The kDirect shape has no fabric to cut across,
-  // so it stays single-domain (and output-identical to shards == 0).
-  int shards = 0;
+  // Worker threads for the within-cell parallel engine (DESIGN.md §16),
+  // >= 1. Every switched shape runs domain-partitioned — one domain per
+  // host plus one per switch — and results are bit-identical for every
+  // worker count (the layout is fixed; workers only change which thread
+  // executes which domain). kDirect has no fabric to cut across and runs as
+  // the engine's single-domain case, where the count has no effect.
+  int shards = 1;
 
   FabricConfig() {
     edge_link.bandwidth_bps = 100e9;  // 100 Gbps ConnectX-5 class.
@@ -263,14 +262,6 @@ class FabricTopology {
     std::unique_ptr<LinkScheduler> rx_scheduler;
   };
 
-  // True when the fabric runs domain-partitioned (shards >= 1 on a switched
-  // shape).
-  bool sharded() const { return sharded_; }
-  // The domain owning switch `i`'s event processing (0 when unsharded).
-  uint32_t switch_domain(size_t i) const {
-    return sharded_ ? switch_domains_.at(i) : 0;
-  }
-
  private:
   Link* MakeLink(const Link::Config& link_config, uint64_t seed, std::string name);
   // Wires `downlink` -> (impairment chain?) -> the host NIC, plus the link
@@ -300,7 +291,7 @@ class FabricTopology {
   std::vector<std::unique_ptr<TcpStack>> server_stacks_;
   std::vector<HostAttachment> client_at_;
   std::vector<HostAttachment> server_at_;
-  bool sharded_ = false;
+  // Domain ids per host / switch (empty on kDirect, which is single-domain).
   std::vector<uint32_t> client_domains_;
   std::vector<uint32_t> server_domains_;
   std::vector<uint32_t> switch_domains_;

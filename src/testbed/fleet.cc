@@ -135,15 +135,11 @@ FleetExperimentResult RunFleetExperiment(const FleetExperimentConfig& config) {
     if (toggle != nullptr) {
       const bool on = toggle->OnTick(sim.Now(), sample);
       for (PerConnection& pc : connections) {
-        // The control tick is a global event; endpoint pokes that flush (and
-        // so schedule CPU work) must land in the endpoint's own shard.
-        DomainScope in_server(&sim, topo.server_host(pc.server_index).domain());
         pc.conn.b->SetNoDelay(!on);
       }
     } else if (aimd != nullptr) {
       const double limit = aimd->OnTick(sim.Now(), sample);
       for (PerConnection& pc : connections) {
-        DomainScope in_server(&sim, topo.server_host(pc.server_index).domain());
         pc.conn.b->SetNoDelay(false);
         pc.conn.b->SetCorkLimit(static_cast<uint32_t>(limit));
       }
@@ -172,9 +168,6 @@ FleetExperimentResult RunFleetExperiment(const FleetExperimentConfig& config) {
     if (!lean) {
       pc.collector->Start(run_end);
     }
-    // The first arrival (and the open-loop clock behind it) belongs to the
-    // client's shard.
-    DomainScope in_client(&sim, topo.client_host(i).domain());
     pc.client->Start();
   }
 

@@ -162,8 +162,8 @@ struct FleetExperimentResult {
 
   // Per-domain event-queue occupancy high-water marks (Simulator
   // ::queue_occupancy): max and mean of each domain's peak live-event
-  // count, plus the domain count. On classic (unsharded) runs this is the
-  // single global queue's peak.
+  // count, plus the domain count (1 on kDirect, whose only queue is the
+  // global one).
   uint64_t queue_peak_max = 0;
   double queue_peak_mean = 0;
   uint64_t queue_domains = 0;

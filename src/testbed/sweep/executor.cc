@@ -95,7 +95,7 @@ bool ParseShardsFlag(const char* arg, int* shards, bool* ok) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(value, &end, 10);
-  if (*value == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 0) {
+  if (*value == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 1) {
     *ok = false;
     return true;
   }

@@ -55,10 +55,11 @@ class SweepExecutor {
 // callers can reject the flag; *ok reports whether N parsed cleanly.
 bool ParseJobsFlag(const char* arg, int* jobs, bool* ok);
 
-// Parses a `--shards=N` argument (same contract as ParseJobsFlag). N = 0
-// selects the classic single-domain engine; N >= 1 runs the cell's
-// simulation domain-partitioned with N worker threads — output must be
-// byte-identical for every N >= 1 (ctest label `shard` compares them).
+// Parses a `--shards=N` argument (same contract as ParseJobsFlag): the
+// worker threads that run a switched cell's simulation domains, N >= 1.
+// There is no "pick for me" value — N = 0, negative, or non-numeric values
+// are rejected. Output must be byte-identical for every N, and to the
+// default of one worker (ctest label `shard` compares them).
 bool ParseShardsFlag(const char* arg, int* shards, bool* ok);
 
 }  // namespace e2e

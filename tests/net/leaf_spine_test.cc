@@ -7,8 +7,11 @@
 //     a passive tap recording per-flow packet-id monotonicity at the
 //     server rack;
 //   - a multi-switch leaf-spine cell is bit-identical across worker
-//     counts (the sharded-engine contract, DESIGN.md §16, exercised on
-//     the topology this fabric was built to scale).
+//     counts (the domain-engine contract, DESIGN.md §16, exercised on
+//     the topology this fabric was built to scale), and so is a star cell
+//     whose endpoints are poked from setup code and global events with no
+//     DomainScope — components route their own events into their host's
+//     domain.
 
 #include <cstdint>
 #include <map>
@@ -188,28 +191,57 @@ TEST(LeafSpineTest, FlowsPinToOneUplinkAndNeverReorder) {
   EXPECT_EQ(topo.total_forwarding_misses(), 0u);
 }
 
-// One leaf-spine cell's observable outcome, as a flat digest: app bytes,
-// endpoint retransmits, final event count, and every switch port's
-// counters. Any worker-count-dependent divergence shows up here.
-std::vector<uint64_t> RunLeafSpineCell(int shards) {
+// The two worker-identity cells.
+enum class Cell {
+  // Bulk flows across a 3-leaf x 2-spine Clos, each pump started by an
+  // event scheduled in its client's domain.
+  kLeafSpine,
+  // Bulk flows on a star, pumped straight from setup code, with Nagle
+  // flipped off by a global event mid-run: both pokes reach endpoints with
+  // no DomainScope, so every timer and CPU event they arm must land in the
+  // host's own domain (a setup-armed timer canceled from the host's
+  // domain would abort the run otherwise).
+  kStarUnscopedPokes,
+};
+
+// One cell's observable outcome, as a flat digest: app bytes, endpoint
+// retransmits, final event count, and every switch port's counters. Any
+// worker-count-dependent divergence shows up here.
+std::vector<uint64_t> RunCell(Cell cell, int shards) {
   constexpr int kClients = 6;
-  FabricConfig config = FabricConfig::LeafSpine(kClients, 2, 3, 2, /*trunk_bps=*/50e9);
+  const bool star = cell == Cell::kStarUnscopedPokes;
+  FabricConfig config = star ? FabricConfig::Star(kClients, 2)
+                             : FabricConfig::LeafSpine(kClients, 2, 3, 2, /*trunk_bps=*/50e9);
   config.shards = shards;
   FabricTopology topo(config);
+  TcpConfig tcp = BulkTcp();
+  tcp.nodelay = !star;  // The star cell starts under Nagle.
   std::vector<ConnectedPair> conns(kClients);
   std::vector<uint64_t> received(kClients, 0);
   for (int i = 0; i < kClients; ++i) {
-    conns[i] = topo.Connect(i, i % 2, static_cast<uint64_t>(i + 1), BulkTcp(), BulkTcp());
+    conns[i] = topo.Connect(i, i % 2, static_cast<uint64_t>(i + 1), tcp, tcp);
     TcpEndpoint* dst = conns[i].b;
     dst->SetReadableCallback([dst, &received, i] { received[i] += dst->Recv().bytes; });
     TcpEndpoint* src = conns[i].a;
-    auto pump = [src] {
-      while (src->Send(8 * 1024, MessageRecord{})) {
+    // The star's 3000 B writes leave a sub-MSS tail for Nagle to hold.
+    auto pump = [src, chunk = star ? 3000 : 8 * 1024] {
+      while (src->Send(chunk, MessageRecord{})) {
       }
     };
     src->SetWritableCallback(pump);
-    DomainScope in_client(&topo.sim(), topo.client_host(i).domain());
-    topo.sim().Schedule(Duration::Zero(), pump);
+    if (star) {
+      pump();
+    } else {
+      DomainScope in_client(&topo.sim(), topo.client_host(i).domain());
+      topo.sim().Schedule(Duration::Zero(), pump);
+    }
+  }
+  if (star) {
+    topo.sim().Schedule(Duration::Millis(1), [&conns] {
+      for (ConnectedPair& conn : conns) {
+        conn.a->SetNoDelay(true);
+      }
+    });
   }
   topo.sim().RunFor(Duration::Millis(3));
 
@@ -233,10 +265,16 @@ std::vector<uint64_t> RunLeafSpineCell(int shards) {
 }
 
 TEST(LeafSpineTest, CellIsBitIdenticalAcrossWorkerCounts) {
-  const std::vector<uint64_t> one = RunLeafSpineCell(1);
-  ASSERT_GT(one.size(), 6u);
-  for (int shards : {2, 4}) {
-    EXPECT_EQ(RunLeafSpineCell(shards), one) << "shards=" << shards;
+  for (Cell cell : {Cell::kLeafSpine, Cell::kStarUnscopedPokes}) {
+    SCOPED_TRACE(cell == Cell::kLeafSpine ? "leaf-spine" : "star, unscoped pokes");
+    const std::vector<uint64_t> one = RunCell(cell, 1);
+    ASSERT_GT(one.size(), 6u);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_GT(one[i], 0u) << "client " << i << " delivered nothing";
+    }
+    for (int shards : {2, 4}) {
+      EXPECT_EQ(RunCell(cell, shards), one) << "shards=" << shards;
+    }
   }
 }
 

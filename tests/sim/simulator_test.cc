@@ -78,18 +78,6 @@ TEST(SimulatorTest, CancelWorks) {
   EXPECT_FALSE(fired);
 }
 
-TEST(SimulatorTest, StepExecutesExactlyOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.Schedule(Duration::Micros(1), [&] { ++fired; });
-  sim.Schedule(Duration::Micros(2), [&] { ++fired; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_FALSE(sim.Step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimulatorTest, CountsEventsFired) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) {

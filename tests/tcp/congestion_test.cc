@@ -1,4 +1,4 @@
-#include "src/tcp/congestion.h"
+#include "src/tcp/cc/reno.h"
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,8 @@
 namespace e2e {
 namespace {
 
-CongestionControl::Config Cfg() {
-  CongestionControl::Config config;
+CcConfig Cfg() {
+  CcConfig config;
   config.mss = 1000;
   config.initial_window_segments = 10;
   config.max_window_bytes = 1000000;
@@ -16,13 +16,13 @@ CongestionControl::Config Cfg() {
 }
 
 TEST(CongestionControlTest, StartsAtInitialWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   EXPECT_EQ(cc.window_bytes(), 10000u);
   EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(CongestionControlTest, SlowStartDoublesPerWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(10000);  // A full window acked -> window doubles.
   EXPECT_EQ(cc.window_bytes(), 20000u);
   cc.OnAck(20000);
@@ -30,7 +30,7 @@ TEST(CongestionControlTest, SlowStartDoublesPerWindow) {
 }
 
 TEST(CongestionControlTest, CongestionAvoidanceGrowsOneMssPerWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnFastRetransmit();  // ssthresh = 5000, cwnd = 5000: avoidance mode.
   EXPECT_FALSE(cc.in_slow_start());
   const uint64_t before = cc.window_bytes();
@@ -45,7 +45,7 @@ TEST(CongestionControlTest, CongestionAvoidanceGrowsOneMssPerWindow) {
 }
 
 TEST(CongestionControlTest, FastRetransmitHalves) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(30000);  // cwnd 40000.
   cc.OnFastRetransmit();
   EXPECT_EQ(cc.window_bytes(), 20000u);
@@ -53,7 +53,7 @@ TEST(CongestionControlTest, FastRetransmitHalves) {
 }
 
 TEST(CongestionControlTest, TimeoutCollapsesToOneMss) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(30000);
   cc.OnTimeout();
   EXPECT_EQ(cc.window_bytes(), 1000u);
@@ -62,7 +62,7 @@ TEST(CongestionControlTest, TimeoutCollapsesToOneMss) {
 }
 
 TEST(CongestionControlTest, FloorsAtTwoMss) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   for (int i = 0; i < 10; ++i) {
     cc.OnFastRetransmit();
   }
@@ -70,7 +70,7 @@ TEST(CongestionControlTest, FloorsAtTwoMss) {
 }
 
 TEST(CongestionControlTest, CapsAtMaxWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   for (int i = 0; i < 40; ++i) {
     cc.OnAck(cc.window_bytes());
   }
@@ -78,9 +78,9 @@ TEST(CongestionControlTest, CapsAtMaxWindow) {
 }
 
 TEST(CongestionControlTest, DisabledIsUnbounded) {
-  CongestionControl::Config config = Cfg();
+  CcConfig config = Cfg();
   config.enabled = false;
-  CongestionControl cc(config);
+  RenoCongestionControl cc(config);
   EXPECT_GT(cc.window_bytes(), 1ull << 60);
   cc.OnTimeout();
   EXPECT_GT(cc.window_bytes(), 1ull << 60);

@@ -53,6 +53,34 @@ TEST(ParseJobsFlagTest, RejectsMalformedValues) {
   EXPECT_FALSE(ParseJobsFlag("--smoke", &jobs, &ok));
 }
 
+TEST(ParseShardsFlagTest, AcceptsPositiveWorkerCounts) {
+  int shards = -1;
+  bool ok = false;
+  EXPECT_TRUE(ParseShardsFlag("--shards=1", &shards, &ok));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(shards, 1);
+
+  EXPECT_TRUE(ParseShardsFlag("--shards=4", &shards, &ok));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(shards, 4);
+}
+
+TEST(ParseShardsFlagTest, RejectsZeroNegativeAndMalformedValues) {
+  for (const char* arg : {"--shards=0", "--shards=-1", "--shards=banana", "--shards="}) {
+    int shards = 7;
+    bool ok = true;
+    EXPECT_TRUE(ParseShardsFlag(arg, &shards, &ok)) << arg;
+    EXPECT_FALSE(ok) << arg;
+    EXPECT_EQ(shards, 7) << arg;  // Left untouched on rejection.
+  }
+  // Not a --shards flag at all: untouched, caller handles it.
+  int shards = 7;
+  bool ok = true;
+  EXPECT_FALSE(ParseShardsFlag("--jobs=4", &shards, &ok));
+  EXPECT_FALSE(ParseShardsFlag("out.json", &shards, &ok));
+  EXPECT_EQ(shards, 7);
+}
+
 TEST(SweepExecutorTest, CommitsInIndexOrderOnCallerThread) {
   const std::thread::id caller = std::this_thread::get_id();
   constexpr size_t kCells = 64;

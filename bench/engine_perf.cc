@@ -31,12 +31,10 @@
 // ratio lands under its gate is re-measured once and the better ratio is
 // kept (the retry is recorded in the JSON).
 //
-// Usage: engine_perf [--smoke] [--jobs=N] [--shards=N] [out.json]
-//   --smoke    smaller op counts and cells (CI).
-//   --jobs=N   worker-pool size for the sweep-scaling section (default 4,
-//              0 = all cores).
-//   --shards=N top worker count for the shard-scaling section (default 4).
-//   out.json defaults to BENCH_engine.json in the working directory.
+// Usage (flags: src/testbed/sweep/sweep_main.h): --smoke shrinks op counts
+// and cells (CI); --jobs=N sizes the sweep-scaling pool and --shards=N is
+// the shard curve's top worker count (both default 4); out.json defaults to
+// BENCH_engine.json.
 
 #include <array>
 #include <chrono>
@@ -44,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -56,6 +55,7 @@
 #include "src/testbed/report.h"
 #include "src/testbed/robustness.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/sweep_main.h"
 
 #ifdef __linux__
 #include <unistd.h>
@@ -441,29 +441,13 @@ MemoryPoint MeasureConnectionMemory(bool smoke) {
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 4;
-  int shards = 4;
-  const char* json_path = "BENCH_engine.json";
-  for (int i = 1; i < argc; ++i) {
-    bool jobs_ok = true;
-    bool shards_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &jobs_ok)) {
-      if (!jobs_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (ParseShardsFlag(argv[i], &shards, &shards_ok)) {
-      if (!shards_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const SweepOptions options = ParseSweepOptionsOrExit(
+      {.bench = "engine_perf", .smoke = true, .jobs = true, .shards = true, .default_jobs = 4,
+       .default_shards = 4, .default_out = "BENCH_engine.json"},
+      argc, argv);
+  const bool smoke = options.smoke;
+  const int jobs = options.jobs;
+  const int shards = options.shards;
 
   PrintBanner("Engine perf: event-queue hot path + sweep scaling");
   const unsigned hw = std::thread::hardware_concurrency();
@@ -585,7 +569,7 @@ int Main(int argc, char** argv) {
   // says why — CI's monotone-curve gate skips itself when skipped_reason
   // is set.
   int fleet_clients = smoke ? 100000 : 250000;
-  std::string fleet_skipped_reason;
+  std::optional<std::string> fleet_skipped_reason;
   if (hw < 4) {
     fleet_clients = 8192;
     fleet_skipped_reason = "hardware_concurrency < 4: shard curve shrunk to 8192 connections "
@@ -639,22 +623,15 @@ int Main(int argc, char** argv) {
   std::printf("\nshard scaling (lean leaf-spine fleet cell, %d connections): results %s%s%s\n",
               fleet_clients, shard_identical ? "identical" : "DIVERGED",
               shard_retried ? " (retried)" : "",
-              fleet_skipped_reason.empty() ? "" : " (shrunk: <4 cores)");
+              fleet_skipped_reason.has_value() ? " (shrunk: <4 cores)" : "");
   shard_table.Print();
   if (!shard_identical) {
     std::fprintf(stderr, "FATAL: sharding changed fleet cell results\n");
     std::abort();
   }
 
-  FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path);
-    return 1;
-  }
-  JsonWriter json(out);
-  json.BeginObject();
-  json.KV("bench", std::string("engine_perf"));
-  json.KV("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
+  SweepJson out(options, std::nullopt);
+  JsonWriter& json = out.json();
   json.KV("hardware_concurrency", static_cast<uint64_t>(hw));
   json.Key("queue").BeginObject();
   json.KV("ops", static_cast<uint64_t>(ops));
@@ -700,12 +677,7 @@ int Main(int argc, char** argv) {
   json.KV("results_identical", static_cast<uint64_t>(shard_identical ? 1 : 0));
   json.KV("retried", static_cast<uint64_t>(shard_retried ? 1 : 0));
   json.KV("speedup", shard_speedup, 3);
-  json.Key("skipped_reason");
-  if (fleet_skipped_reason.empty()) {
-    json.Null();
-  } else {
-    json.String(fleet_skipped_reason);
-  }
+  json.KV("skipped_reason", fleet_skipped_reason);
   json.Key("curve").BeginArray();
   for (const ShardPoint& point : curve) {
     json.BeginObject();
@@ -720,10 +692,8 @@ int Main(int argc, char** argv) {
   }
   json.EndArray();
   json.EndObject();
-  json.EndObject();
-  json.Finish();
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  out.Close();
+  std::printf("\nwrote %s\n", options.out_path);
   return 0;
 }
 

@@ -11,43 +11,27 @@
 // estimated vs measured latency, the server port's occupancy high-water
 // mark, tail drops, ECN marks, and retransmits.
 //
-// Usage: fleet_sweep [--smoke] [--jobs=N] [--shards=N] [--leafspine]
-//                    [--trace=trace.json] [--series=out.csv] [out.json]
-//   --trace= record the first cell with the sim-time tracer and write
-//            Chrome trace-event JSON there (DESIGN.md §11). Passive: stdout
-//            and out.json are unchanged by tracing.
-//   --series= sample the first cell's fleet gauges every 1 ms and write the
-//            aligned series there (CSV, or JSON with a .json suffix).
-//            Passive like --trace: sampling is read-only, so the main
-//            outputs stay byte-identical.
-//   --smoke  small grid + short windows (CI determinism check); also runs
-//            the first cell twice and aborts on any divergence.
-//   --jobs=N run the independent cells on N worker threads (0 = all cores).
-//            Results commit in cell order, so stdout and out.json are
-//            byte-identical to --jobs=1 (DESIGN.md §12; CI compares them).
-//   --shards=N run each cell's per-host/per-switch simulation domains on
-//            N >= 1 worker threads (DESIGN.md §16; default 1). Output is
-//            byte-identical for every N (ctest label `shard` compares the
-//            default run with --shards=4).
+// Flags: --smoke, --jobs=N, --shards=N, --trace=, --series=
+// (src/testbed/sweep/sweep_main.h), plus:
 //   --leafspine run every cell on a 2-leaf x 2-spine Clos fabric
 //            (DESIGN.md §17) with two servers instead of the single-switch
 //            star: half the connections cross racks and ECMP-hash over the
 //            spines, and every switch is its own simulation domain.
+// --smoke runs a small grid with short windows and runs the first cell
+// twice, aborting on any divergence. --trace records the first cell;
+// --series samples its fleet gauges every 1 ms from a same-seed re-run.
 //
 // JSON is rendered with fixed-width formatting only: two runs with the same
 // seed are byte-identical (the determinism contract; see DESIGN.md §9).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/obs/trace.h"
 #include "src/testbed/fleet.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/sweep_main.h"
 
 namespace e2e {
 namespace {
@@ -91,52 +75,23 @@ FleetExperimentConfig MakeConfig(int num_clients, size_t buffer_bytes, bool smok
 
 // Same-seed runs must agree bit-for-bit; any drift here means a component
 // broke the keyed-seed contract (fabric_topology.h).
-void CheckDeterminism(const FleetExperimentConfig& config) {
-  const FleetExperimentResult a = RunFleetExperiment(config);
-  const FleetExperimentResult b = RunFleetExperiment(config);
-  const bool same = a.measured_mean_us == b.measured_mean_us &&
-                    a.measured_p99_us == b.measured_p99_us &&
-                    a.fleet_est_bytes_us == b.fleet_est_bytes_us &&
-                    a.requests_completed == b.requests_completed &&
-                    a.retransmits == b.retransmits &&
-                    a.switch_tail_drops == b.switch_tail_drops &&
-                    a.switch_ecn_marked == b.switch_ecn_marked &&
-                    a.server_port_max_queue_bytes == b.server_port_max_queue_bytes;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed fleet runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed runs identical\n");
+bool SameRun(const FleetExperimentResult& a, const FleetExperimentResult& b) {
+  return a.measured_mean_us == b.measured_mean_us && a.measured_p99_us == b.measured_p99_us &&
+         a.fleet_est_bytes_us == b.fleet_est_bytes_us &&
+         a.requests_completed == b.requests_completed && a.retransmits == b.retransmits &&
+         a.switch_tail_drops == b.switch_tail_drops &&
+         a.switch_ecn_marked == b.switch_ecn_marked &&
+         a.server_port_max_queue_bytes == b.server_port_max_queue_bytes;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  bool leafspine = false;
-  int jobs = 1;
-  int shards = 1;
-  const char* json_path = nullptr;
-  const char* trace_path = nullptr;
-  const char* series_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool flag_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--leafspine") == 0) {
-      leafspine = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok) ||
-               ParseShardsFlag(argv[i], &shards, &flag_ok)) {
-      if (!flag_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
-      series_path = argv[i] + 9;
-    } else {
-      json_path = argv[i];
-    }
-  }
+  const SweepOptions options = ParseSweepOptionsOrExit(
+      {.bench = "fleet_sweep", .smoke = true, .jobs = true, .shards = true, .trace = true,
+       .series = true, .switches = {"--leafspine"}},
+      argc, argv);
+  const bool smoke = options.smoke;
+  const int shards = options.shards;
+  const bool leafspine = options.Switch("--leafspine");
 
   PrintBanner(leafspine ? "Fleet sweep: clients x server-port buffer (leaf-spine fabric)"
                         : "Fleet sweep: clients x server-port buffer (star fabric)");
@@ -147,15 +102,14 @@ int Main(int argc, char** argv) {
                                             : std::vector<size_t>{64 * 1024, 512 * 1024, 0};
 
   if (smoke) {
-    CheckDeterminism(MakeConfig(fleet_sizes.front(), buffers.front(), smoke, shards, leafspine));
+    CheckSameSeedTwin("", RunFleetExperiment,
+                      MakeConfig(fleet_sizes.front(), buffers.front(), smoke, shards, leafspine),
+                      SameRun);
   }
 
   // --trace captures the first (smallest) cell: one client keeps the packet
   // and queue tracks readable in the viewer.
-  std::optional<TraceRecorder> recorder;
-  if (trace_path != nullptr) {
-    recorder.emplace(/*capacity=*/1 << 18);
-  }
+  SweepTrace trace(options);
 
   // Cells are independent deterministic simulations; bodies fill their own
   // slot on the worker pool and every output byte is produced by the
@@ -172,13 +126,13 @@ int Main(int argc, char** argv) {
 
   Table table({"clients", "buf_KB", "kRPS", "meas_us", "p99_us", "fleet_est_us", "err%",
                "online_us", "drops", "ecn", "maxq_KB", "rtx"});
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(options.jobs);
   executor.Run(
       cells.size(),
       [&](size_t i) {
         Cell& cell = cells[i];
         // Thread-local binding: only cell 0 records, whatever thread runs it.
-        ScopedTrace bind(i == 0 && recorder.has_value() ? &*recorder : nullptr);
+        ScopedTrace bind(trace.For(i == 0));
         cell.result = RunFleetExperiment(
             MakeConfig(cell.num_clients, cell.buffer_bytes, smoke, shards, leafspine));
       },
@@ -220,47 +174,14 @@ int Main(int argc, char** argv) {
       "band while the server port absorbs the incast; once the buffer clips\n"
       "(drops > 0) retransmission delay moves ground truth before the counters.\n\n");
 
-  if (recorder.has_value()) {
-    if (!recorder->WriteChromeTraceFile(trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    // stderr so tracing leaves stdout byte-identical.
-    std::fprintf(stderr, "trace: %llu events recorded (%llu overwritten) -> %s\n",
-                 static_cast<unsigned long long>(recorder->recorded()),
-                 static_cast<unsigned long long>(recorder->overwritten()), trace_path);
-  }
+  trace.Write();
+  WriteSweepSeries(options, RunFleetExperiment,
+                   MakeConfig(cells.front().num_clients, cells.front().buffer_bytes, smoke, shards,
+                              leafspine),
+                   Duration::Millis(1));
 
-  if (series_path != nullptr) {
-    // Sampling is read-only, but the sampler's own ticks count as engine
-    // events and nudge the queue-occupancy stats the JSON reports — so the
-    // series comes from a dedicated same-seed re-run of the first cell and
-    // the main outputs stay byte-identical with and without --series.
-    FleetExperimentConfig config =
-        MakeConfig(cells.front().num_clients, cells.front().buffer_bytes, smoke, shards,
-                   leafspine);
-    config.series_interval = Duration::Millis(1);
-    const FleetExperimentResult observed = RunFleetExperiment(config);
-    if (observed.series == nullptr || !observed.series->WriteFile(series_path)) {
-      std::fprintf(stderr, "cannot write %s\n", series_path);
-      return 1;
-    }
-    std::fprintf(stderr, "series: %zu samples -> %s\n", observed.series->num_rows(), series_path);
-  }
-
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-  }
-  JsonWriter json(json_out);
-  json.BeginObject();
-  json.KV("bench", std::string("fleet_sweep"));
-  json.KV("seed", kSeed);
-  json.KV("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
+  SweepJson out(options, kSeed);
+  JsonWriter& json = out.json();
   json.KV("fabric", std::string(leafspine ? "leafspine" : "star"));
   json.KV("unit_mode", std::string("bytes"));
   json.Key("cells").BeginArray();
@@ -274,24 +195,9 @@ int Main(int argc, char** argv) {
     json.KV("measured_mean_us", r.measured_mean_us, 2);
     json.KV("measured_p50_us", r.measured_p50_us, 2);
     json.KV("measured_p99_us", r.measured_p99_us, 2);
-    json.Key("fleet_est_bytes_us");
-    if (r.fleet_est_bytes_us.has_value()) {
-      json.Double(*r.fleet_est_bytes_us, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("fleet_est_err_pct");
-    if (const auto err = r.FleetEstimateErrorPct(); err.has_value()) {
-      json.Double(*err, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("online_est_us");
-    if (r.online_est_us.has_value()) {
-      json.Double(*r.online_est_us, 2);
-    } else {
-      json.Null();
-    }
+    json.KV("fleet_est_bytes_us", r.fleet_est_bytes_us, 2);
+    json.KV("fleet_est_err_pct", r.FleetEstimateErrorPct(), 2);
+    json.KV("online_est_us", r.online_est_us, 2);
     json.KV("requests_completed", r.requests_completed);
     json.KV("retransmits", r.retransmits);
     json.KV("switch_tail_drops", r.switch_tail_drops);
@@ -314,18 +220,8 @@ int Main(int argc, char** argv) {
       json.KV("achieved_krps", cr.achieved_krps, 3);
       json.KV("measured_mean_us", cr.measured_mean_us, 2);
       json.KV("measured_p99_us", cr.measured_p99_us, 2);
-      json.Key("est_bytes_us");
-      if (cr.est_bytes_us.has_value()) {
-        json.Double(*cr.est_bytes_us, 2);
-      } else {
-        json.Null();
-      }
-      json.Key("est_err_pct");
-      if (const auto err = cr.EstimateErrorPct(); err.has_value()) {
-        json.Double(*err, 2);
-      } else {
-        json.Null();
-      }
+      json.KV("est_bytes_us", cr.est_bytes_us, 2);
+      json.KV("est_err_pct", cr.EstimateErrorPct(), 2);
       json.KV("requests_completed", cr.requests_completed);
       json.KV("retransmits", cr.retransmits);
       json.EndObject();
@@ -363,11 +259,7 @@ int Main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  json.EndObject();
-  json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
+  out.Close();
   return 0;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <functional>
+#include <optional>
 
 #include "src/tcp/tcp_config.h"
 
@@ -155,6 +156,13 @@ BufferSizingResult RunBufferSizing(const BufferSizingConfig& config) {
   sim.ScheduleAt(measure_start, [&] { rx_at_start = rx_bytes; });
   sim.ScheduleAt(measure_end, [&] { rx_at_end = rx_bytes; });
 
+  std::optional<TimeSeriesSampler> sampler;
+  if (config.series_interval > Duration::Zero()) {
+    sampler.emplace(&sim, config.series_interval);
+    topo.ExportQueueGauges(&*sampler);
+    sampler->Start(measure_end);
+  }
+
   sim.RunUntil(measure_end);
 
   BufferSizingResult result;
@@ -208,6 +216,9 @@ BufferSizingResult RunBufferSizing(const BufferSizingConfig& config) {
     result.cc_decreases += conns[i].a->congestion().decrease_events();
   }
   result.mean_cwnd_bytes = cwnd_stats.mean();
+  if (sampler.has_value()) {
+    result.series = std::make_shared<const TimeSeries>(sampler->TakeSeries());
+  }
   return result;
 }
 

@@ -21,8 +21,10 @@
 #define SRC_TESTBED_BUFFER_SIZING_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/obs/timeseries.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/tcp/cc/congestion_control.h"
@@ -70,6 +72,13 @@ struct BufferSizingConfig {
   Duration sample_interval = Duration::Micros(50);  // Queue/cwnd sampling.
   uint64_t seed = 7;
 
+  // When > 0, records every switch port's queue occupancy and its mark and
+  // drop counters over the whole run. The gauges only read, but the
+  // sampler's global events can shift the order of same-instant events, so
+  // callers comparing output bytes take the series from a separate run
+  // (bench/buffer_sizing_sweep).
+  Duration series_interval = Duration::Zero();
+
   // Passed through to FabricConfig::shards: engine worker threads (>= 1;
   // output is bit-identical for every value).
   int shards = 1;
@@ -107,6 +116,9 @@ struct BufferSizingResult {
   uint64_t cc_decreases = 0;  // Client congestion reactions of any kind.
 
   double mean_cwnd_bytes = 0;  // Time-sampled mean across client flows.
+
+  // Non-null iff config.series_interval > 0.
+  std::shared_ptr<const TimeSeries> series;
 };
 
 // Bandwidth-delay product in bytes for a bottleneck rate and an RTT.

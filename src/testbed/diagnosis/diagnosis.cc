@@ -186,15 +186,17 @@ DiagnosisValidationResult RunDiagnosisValidation(const DiagnosisValidationConfig
 
   std::vector<ConnectedPair> conns(static_cast<size_t>(n));
   std::vector<uint64_t> rx_bytes(static_cast<size_t>(n), 0);
+  // Self-rescheduling sender-paced pacers. The run owns them; each closure
+  // holds a non-owning pointer to itself, so none keeps itself alive.
+  std::vector<std::unique_ptr<std::function<void()>>> pacers;
   for (int i = 0; i < n; ++i) {
     conns[i] = topo.Connect(i, 0, static_cast<uint64_t>(i + 1), client_tcp, server_tcp);
     TcpEndpoint* src = conns[i].a;
     TcpEndpoint* dst = conns[i].b;
     dst->SetReadableCallback([dst, &rx_bytes, i] { rx_bytes[i] += dst->Recv().bytes; });
     if (config.scenario == DiagScenario::kSenderPaced) {
-      // Heap-stable self-rescheduling closure: the pacer outlives each
-      // scheduled invocation.
-      auto tick = std::make_shared<std::function<void()>>();
+      std::function<void()>* tick =
+          pacers.emplace_back(std::make_unique<std::function<void()>>()).get();
       *tick = [&sim, src, tick, chunk = config.paced_chunk_bytes,
                interval = config.paced_interval] {
         src->Send(chunk, MessageRecord{});

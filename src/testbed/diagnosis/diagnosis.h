@@ -92,8 +92,10 @@ struct DiagnosisValidationConfig {
   DiagConfig diag;                       // Diagnoser under test.
   Duration truth_sample = Duration::Micros(100);
   // When > 0, records aligned inferred-vs-true gauges for flow 0 (cwnd,
-  // RTT, flight, verdict) plus the bottleneck queue. Pure reads: attaching
-  // the sampler never changes what the run computes.
+  // RTT, flight, verdict) plus the bottleneck queue. The gauges only read,
+  // but the sampler's global events can shift the order of same-instant
+  // events, so callers comparing output bytes take the series from a
+  // separate run (bench/diagnosis_sweep).
   Duration series_interval = Duration::Zero();
 
   // Scenario presets: picks flows, buffers, and diag knobs so the intended

@@ -252,6 +252,13 @@ JsonWriter& JsonWriter::KV(const std::string& key, double value, int precision) 
 }
 JsonWriter& JsonWriter::KV(const std::string& key, int64_t value) { return Key(key).Int(value); }
 JsonWriter& JsonWriter::KV(const std::string& key, uint64_t value) { return Key(key).Uint(value); }
+JsonWriter& JsonWriter::KV(const std::string& key, const std::optional<double>& value,
+                           int precision) {
+  return value.has_value() ? KV(key, *value, precision) : Key(key).Null();
+}
+JsonWriter& JsonWriter::KV(const std::string& key, const std::optional<std::string>& value) {
+  return value.has_value() ? KV(key, *value) : Key(key).Null();
+}
 
 JsonWriter& JsonWriter::ImpairmentArray(const ImpairmentSnapshot& snapshot) {
   BeginArray();

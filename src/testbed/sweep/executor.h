@@ -49,19 +49,6 @@ class SweepExecutor {
   int jobs_;
 };
 
-// Parses a `--jobs=N` argument. Returns true (and sets *jobs) when `arg`
-// has that form; N = 0 selects the hardware concurrency. Invalid values
-// (negative, non-numeric) leave *jobs untouched and still return true so
-// callers can reject the flag; *ok reports whether N parsed cleanly.
-bool ParseJobsFlag(const char* arg, int* jobs, bool* ok);
-
-// Parses a `--shards=N` argument (same contract as ParseJobsFlag): the
-// worker threads that run a switched cell's simulation domains, N >= 1.
-// There is no "pick for me" value — N = 0, negative, or non-numeric values
-// are rejected. Output must be byte-identical for every N, and to the
-// default of one worker (ctest label `shard` compares them).
-bool ParseShardsFlag(const char* arg, int* shards, bool* ok);
-
 }  // namespace e2e
 
 #endif  // SRC_TESTBED_SWEEP_EXECUTOR_H_

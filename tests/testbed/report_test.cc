@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 
 namespace e2e {
@@ -90,6 +91,21 @@ TEST(ReportTest, RegistryArrayEmitsEntityObjects) {
   EXPECT_STREQ(buf,
                "[{\"entity\":\"client.nic\",\"rx\":3,\"tx\":4},"
                "{\"entity\":\"sw0.server.port\",\"drops\":7}]\n");
+}
+
+TEST(ReportTest, OptionalKVWritesNullWhenEmpty) {
+  char buf[256] = {};
+  FILE* mem = fmemopen(buf, sizeof(buf) - 1, "w");
+  JsonWriter json(mem);
+  json.BeginObject();
+  json.KV("est", std::optional<double>(1.25), 2);
+  json.KV("err", std::optional<double>(), 2);
+  json.KV("why", std::optional<std::string>("short"));
+  json.KV("none", std::optional<std::string>());
+  json.EndObject();
+  json.Finish();
+  std::fclose(mem);
+  EXPECT_STREQ(buf, "{\"est\":1.25,\"err\":null,\"why\":\"short\",\"none\":null}\n");
 }
 
 TEST(ReportTest, BannerContainsTitle) {

@@ -4,6 +4,8 @@
 // output byte-identical to --jobs=1. The jobs=1-vs-jobs=4 identity is
 // checked here at the result level on a real robustness grid; the
 // byte-level stdout/JSON comparison lives in CI (parallel-identity job).
+// The sweep command-line parser (sweep_main.h) is tested here too; the
+// sweep_cli test drives the real binaries' exit codes.
 
 #include "src/testbed/sweep/executor.h"
 
@@ -12,73 +14,143 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/testbed/robustness.h"
+#include "src/testbed/sweep/sweep_main.h"
 
 namespace e2e {
 namespace {
 
-TEST(ParseJobsFlagTest, ParsesWellFormedValues) {
-  int jobs = -1;
-  bool ok = false;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=4", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(jobs, 4);
+// The sweep command line (src/testbed/sweep/sweep_main.h): a bench that
+// declares every common flag, and two that declare fewer.
+const SweepSpec kAllFlags{.bench = "all_sweep", .smoke = true, .jobs = true, .shards = true,
+                          .trace = true, .series = true};
+const SweepSpec kRecovery{.bench = "recovery_sweep", .smoke = true, .jobs = true};
+const SweepSpec kEnginePerf{.bench = "engine_perf", .smoke = true, .jobs = true, .shards = true,
+                            .default_jobs = 4, .default_shards = 4,
+                            .default_out = "BENCH_engine.json"};
 
-  EXPECT_TRUE(ParseJobsFlag("--jobs=1", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(jobs, 1);
+// Parses `args` (argv[0] is supplied) against `spec`.
+bool Parse(const SweepSpec& spec, std::vector<const char*> args, SweepOptions* options,
+           std::string* error = nullptr) {
+  args.insert(args.begin(), spec.bench);
+  std::string ignored;
+  return ParseSweepOptions(spec, static_cast<int>(args.size()), args.data(), options,
+                           error != nullptr ? error : &ignored);
+}
+
+TEST(ParseJobsFlagTest, ParsesWellFormedValues) {
+  SweepOptions options;
+  ASSERT_TRUE(Parse(kAllFlags, {"--jobs=4"}, &options));
+  EXPECT_EQ(options.jobs, 4);
+
+  ASSERT_TRUE(Parse(kAllFlags, {"--jobs=1"}, &options));
+  EXPECT_EQ(options.jobs, 1);
 
   // 0 = "use all cores"; always resolves to at least one worker.
-  EXPECT_TRUE(ParseJobsFlag("--jobs=0", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_GE(jobs, 1);
+  ASSERT_TRUE(Parse(kAllFlags, {"--jobs=0"}, &options));
+  EXPECT_GE(options.jobs, 1);
 }
 
 TEST(ParseJobsFlagTest, RejectsMalformedValues) {
-  int jobs = -1;
-  bool ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=banana", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=-2", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  // Not a --jobs flag at all: untouched, caller handles it.
-  EXPECT_FALSE(ParseJobsFlag("out.json", &jobs, &ok));
-  EXPECT_FALSE(ParseJobsFlag("--smoke", &jobs, &ok));
+  for (const char* arg : {"--jobs=banana", "--jobs=", "--jobs=-2", "--jobs=99999999999"}) {
+    SweepOptions options;
+    options.jobs = 7;
+    std::string error;
+    EXPECT_FALSE(Parse(kAllFlags, {arg}, &options, &error)) << arg;
+    EXPECT_EQ(options.jobs, 7) << arg;  // Left untouched on rejection.
+    EXPECT_EQ(error, std::string("invalid ") + arg);
+  }
+  // Not a --jobs flag at all: the output path and --smoke leave jobs alone.
+  SweepOptions options;
+  ASSERT_TRUE(Parse(kAllFlags, {"--smoke", "out.json"}, &options));
+  EXPECT_TRUE(options.smoke);
+  EXPECT_STREQ(options.out_path, "out.json");
+  EXPECT_EQ(options.jobs, 1);
+}
+
+TEST(ParseJobsFlagTest, RejectsUnknownAndUndeclaredFlags) {
+  // --shards and --trace exist, but recovery_sweep does not declare them.
+  for (const char* arg : {"--bogus-flag", "--shards=4", "--trace=t.json", "--out=x.json",
+                          "--leafspine", "-", "--smoke=1"}) {
+    SweepOptions options;
+    std::string error;
+    EXPECT_FALSE(Parse(kRecovery, {"--smoke", arg}, &options, &error)) << arg;
+    EXPECT_EQ(error, std::string("unknown flag ") + arg);
+  }
+  SweepOptions options;
+  EXPECT_FALSE(Parse(kEnginePerf, {"--out=x.json"}, &options));
+  // A bench's own switches are accepted by that bench only.
+  const SweepSpec fleet{.bench = "fleet_sweep", .smoke = true, .switches = {"--leafspine"}};
+  ASSERT_TRUE(Parse(fleet, {"--leafspine", "--smoke"}, &options));
+  EXPECT_TRUE(options.Switch("--leafspine"));
+  ASSERT_TRUE(Parse(fleet, {"--smoke"}, &options));
+  EXPECT_FALSE(options.Switch("--leafspine"));
+}
+
+TEST(ParseJobsFlagTest, RejectsSecondPositionalAndEmptyPaths) {
+  SweepOptions options;
+  std::string error;
+  EXPECT_FALSE(Parse(kAllFlags, {"a.json", "b.json"}, &options, &error));
+  EXPECT_EQ(error, "unexpected second output path b.json");
+  for (const char* arg : {"", "--trace=", "--series="}) {
+    EXPECT_FALSE(Parse(kAllFlags, {arg}, &options)) << arg;
+  }
+  ASSERT_TRUE(Parse(kAllFlags, {"--trace=t.json", "--series=s.csv", "o.json"}, &options));
+  EXPECT_STREQ(options.trace_path, "t.json");
+  EXPECT_STREQ(options.series_path, "s.csv");
+  EXPECT_STREQ(options.out_path, "o.json");
 }
 
 TEST(ParseShardsFlagTest, AcceptsPositiveWorkerCounts) {
-  int shards = -1;
-  bool ok = false;
-  EXPECT_TRUE(ParseShardsFlag("--shards=1", &shards, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(shards, 1);
+  SweepOptions options;
+  ASSERT_TRUE(Parse(kAllFlags, {"--shards=1"}, &options));
+  EXPECT_EQ(options.shards, 1);
 
-  EXPECT_TRUE(ParseShardsFlag("--shards=4", &shards, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(shards, 4);
+  ASSERT_TRUE(Parse(kAllFlags, {"--shards=4"}, &options));
+  EXPECT_EQ(options.shards, 4);
 }
 
 TEST(ParseShardsFlagTest, RejectsZeroNegativeAndMalformedValues) {
   for (const char* arg : {"--shards=0", "--shards=-1", "--shards=banana", "--shards="}) {
-    int shards = 7;
-    bool ok = true;
-    EXPECT_TRUE(ParseShardsFlag(arg, &shards, &ok)) << arg;
-    EXPECT_FALSE(ok) << arg;
-    EXPECT_EQ(shards, 7) << arg;  // Left untouched on rejection.
+    SweepOptions options;
+    options.shards = 7;
+    std::string error;
+    EXPECT_FALSE(Parse(kAllFlags, {arg}, &options, &error)) << arg;
+    EXPECT_EQ(options.shards, 7) << arg;  // Left untouched on rejection.
+    EXPECT_EQ(error, std::string("invalid ") + arg);
   }
-  // Not a --shards flag at all: untouched, caller handles it.
-  int shards = 7;
-  bool ok = true;
-  EXPECT_FALSE(ParseShardsFlag("--jobs=4", &shards, &ok));
-  EXPECT_FALSE(ParseShardsFlag("out.json", &shards, &ok));
-  EXPECT_EQ(shards, 7);
+  // Not a --shards flag at all: shards keeps its default.
+  SweepOptions options;
+  ASSERT_TRUE(Parse(kAllFlags, {"--jobs=4", "out.json"}, &options));
+  EXPECT_EQ(options.shards, 1);
+}
+
+TEST(ParseShardsFlagTest, AppliesBenchDefaults) {
+  SweepOptions options;
+  ASSERT_TRUE(Parse(kEnginePerf, {}, &options));
+  EXPECT_EQ(options.jobs, 4);
+  EXPECT_EQ(options.shards, 4);
+  EXPECT_STREQ(options.out_path, "BENCH_engine.json");
+  EXPECT_FALSE(options.smoke);
+
+  ASSERT_TRUE(Parse(kEnginePerf, {"--shards=2", "x.json"}, &options));
+  EXPECT_EQ(options.jobs, 4);
+  EXPECT_EQ(options.shards, 2);
+  EXPECT_STREQ(options.out_path, "x.json");
+
+  ASSERT_TRUE(Parse(kAllFlags, {}, &options));
+  EXPECT_EQ(options.jobs, 1);
+  EXPECT_EQ(options.shards, 1);
+  EXPECT_EQ(options.out_path, nullptr);  // JSON goes to stdout.
+  EXPECT_EQ(options.trace_path, nullptr);
+  EXPECT_EQ(options.series_path, nullptr);
+
+  EXPECT_EQ(SweepUsage(kEnginePerf),
+            "usage: engine_perf [--smoke] [--jobs=N] [--shards=N] [out.json]");
 }
 
 TEST(SweepExecutorTest, CommitsInIndexOrderOnCallerThread) {

@@ -20,7 +20,9 @@
 //   5. Shard scaling — one large lean fleet cell (DESIGN.md §16) run at
 //      --shards=1/2/N, reporting engine events/sec per shard count plus a
 //      result-fingerprint identity check (sharding is an engine detail,
-//      never an experiment detail).
+//      never an experiment detail). A memory pre-flight projects the cell
+//      from section 4's bytes/connection and shrinks it (recording
+//      fleet.skipped_reason) when it would not fit in MemAvailable.
 //
 // Wall-clock numbers are inherently machine-dependent; the JSON is a perf
 // artifact, not part of the byte-determinism contract. CI runs
@@ -410,6 +412,27 @@ uint64_t CurrentRssBytes() {
 #endif
 }
 
+// MemAvailable from /proc/meminfo; 0 where unknown.
+uint64_t AvailableMemoryBytes() {
+#ifdef __linux__
+  FILE* f = std::fopen("/proc/meminfo", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "MemAvailable: %llu kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return static_cast<uint64_t>(kb) * 1024;
+#else
+  return 0;
+#endif
+}
+
 struct MemoryPoint {
   uint64_t connections = 0;
   bool measured = false;
@@ -574,6 +597,23 @@ int Main(int argc, char** argv) {
     fleet_clients = 8192;
     fleet_skipped_reason = "hardware_concurrency < 4: shard curve shrunk to 8192 connections "
                            "(identity check only, no speedup expected)";
+  } else if (memory.measured) {
+    // Memory pre-flight: a running fleet cell peaks at 2-3x its set-up
+    // footprint (measured on a 16k-connection fleet), so a cell projected
+    // past MemAvailable at 3x shrinks instead of being OOM-killed.
+    const double projected = 3.0 *
+                             (memory.fabric_bytes_per_conn + memory.endpoint_bytes_per_conn) *
+                             static_cast<double>(fleet_clients);
+    const uint64_t available = AvailableMemoryBytes();
+    if (available > 0 && projected > static_cast<double>(available)) {
+      char reason[200];
+      std::snprintf(reason, sizeof(reason),
+                    "projected %.0f MB for %d connections exceeds MemAvailable %.0f MB: shard "
+                    "curve shrunk to 8192 connections (identity check only)",
+                    projected / 1048576.0, fleet_clients, available / 1048576.0);
+      fleet_clients = 8192;
+      fleet_skipped_reason = reason;
+    }
   }
   std::vector<int> shard_counts{1};
   if (shards >= 2) {
@@ -595,7 +635,8 @@ int Main(int argc, char** argv) {
       curve.front().events_per_sec > 0 ? curve.back().events_per_sec / curve.front().events_per_sec
                                        : 0;
   bool shard_retried = false;
-  if (shard_identical && hw >= 4 && curve.size() >= 2 && shard_speedup < 2.5) {
+  if (shard_identical && !fleet_skipped_reason.has_value() && curve.size() >= 2 &&
+      shard_speedup < 2.5) {
     shard_retried = true;
     const ShardPoint base2 = RunShardPoint(smoke, fleet_clients, shard_counts.front());
     const ShardPoint top2 = RunShardPoint(smoke, fleet_clients, shard_counts.back());
@@ -623,7 +664,10 @@ int Main(int argc, char** argv) {
   std::printf("\nshard scaling (lean leaf-spine fleet cell, %d connections): results %s%s%s\n",
               fleet_clients, shard_identical ? "identical" : "DIVERGED",
               shard_retried ? " (retried)" : "",
-              fleet_skipped_reason.has_value() ? " (shrunk: <4 cores)" : "");
+              fleet_skipped_reason.has_value() ? " (shrunk)" : "");
+  if (fleet_skipped_reason.has_value()) {
+    std::printf("skipped_reason: %s\n", fleet_skipped_reason->c_str());
+  }
   shard_table.Print();
   if (!shard_identical) {
     std::fprintf(stderr, "FATAL: sharding changed fleet cell results\n");

@@ -1,18 +1,21 @@
-// Chunked object arena: bump-allocates objects of one type in fixed-size
-// contiguous blocks and destroys them all at arena teardown, in reverse
-// allocation order. There is no per-object free — the intended use is
-// populations that only grow over a run (e.g. a host's TCP endpoints, where
-// even closed endpoints must stay allocated because queued CPU work and
-// in-flight packets may still reference them).
+// Chunked object arena: bump-allocates objects of one type in contiguous
+// blocks and destroys them all at arena teardown, in reverse allocation
+// order. There is no per-object free — the intended use is populations that
+// only grow over a run (e.g. a host's TCP endpoints, where even closed
+// endpoints must stay allocated because queued CPU work and in-flight
+// packets may still reference them).
 //
-// Compared to one heap allocation per object this drops the allocator
-// header/rounding overhead and gives sequential-iteration locality, which
-// is what lets 100k-1M connection fleets fit in memory (DESIGN.md §16).
-// Object addresses are stable for the arena's lifetime.
+// Chunks grow geometrically (1, 2, 4, ... objects, capped at kChunkObjects)
+// and are never value-initialized, so an arena holding one object costs one
+// object-sized heap block and a page is touched only when an object is
+// placed on it — a fleet client stack with one endpoint pays for that
+// endpoint, not for a 64-object chunk (DESIGN.md §16). Object addresses are
+// stable for the arena's lifetime.
 
 #ifndef SRC_SIM_ARENA_H_
 #define SRC_SIM_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -58,7 +61,7 @@ class ArenaMemoryResource : public std::pmr::memory_resource {
       while (chunk < bytes + alignment) {
         chunk *= 2;
       }
-      chunks_.push_back(Chunk{std::make_unique<unsigned char[]>(chunk), chunk});
+      chunks_.push_back(Chunk{std::make_unique_for_overwrite<unsigned char[]>(chunk), chunk});
       bytes_reserved_ += chunk;
       next_chunk_bytes_ = std::min(kMaxChunkBytes, next_chunk_bytes_ * 2);
       uintptr_t base = reinterpret_cast<uintptr_t>(chunks_.back().data.get());
@@ -97,35 +100,50 @@ class ObjectArena {
   ObjectArena& operator=(const ObjectArena&) = delete;
 
   ~ObjectArena() {
-    for (size_t i = size_; i > 0; --i) {
-      At(i - 1)->~T();
+    for (size_t c = chunks_.size(); c > 0; --c) {
+      const Chunk& chunk = chunks_[c - 1];
+      for (size_t i = c == chunks_.size() ? last_used_ : chunk.capacity; i > 0; --i) {
+        std::launder(reinterpret_cast<T*>(chunk.slots[i - 1].bytes))->~T();
+      }
     }
   }
 
   template <typename... Args>
   T* New(Args&&... args) {
-    if (size_ == chunks_.size() * kChunkObjects) {
-      chunks_.push_back(std::make_unique<Chunk>());
+    if (chunks_.empty() || last_used_ == chunks_.back().capacity) {
+      const size_t capacity =
+          chunks_.empty() ? 1 : std::min(kChunkObjects, chunks_.back().capacity * 2);
+      chunks_.push_back(Chunk{std::make_unique_for_overwrite<Slot[]>(capacity), capacity});
+      last_used_ = 0;
     }
-    T* obj = new (Slot(size_)) T(std::forward<Args>(args)...);
+    T* obj = new (chunks_.back().slots[last_used_].bytes) T(std::forward<Args>(args)...);
+    ++last_used_;
     ++size_;
     return obj;
   }
 
   // Objects ever allocated (none are individually freed).
   size_t size() const { return size_; }
+  // Bytes of object storage reserved from the heap (placed + spare slots).
+  size_t bytes_reserved() const {
+    size_t slots = 0;
+    for (const Chunk& chunk : chunks_) {
+      slots += chunk.capacity;
+    }
+    return slots * sizeof(Slot);
+  }
 
  private:
+  struct Slot {
+    alignas(T) unsigned char bytes[sizeof(T)];
+  };
   struct Chunk {
-    alignas(T) unsigned char storage[kChunkObjects * sizeof(T)];
+    std::unique_ptr<Slot[]> slots;
+    size_t capacity;
   };
 
-  void* Slot(size_t index) {
-    return chunks_[index / kChunkObjects]->storage + (index % kChunkObjects) * sizeof(T);
-  }
-  T* At(size_t index) { return std::launder(reinterpret_cast<T*>(Slot(index))); }
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<Chunk> chunks_;
+  size_t last_used_ = 0;  // Objects placed in chunks_.back().
   size_t size_ = 0;
 };
 

@@ -14,10 +14,10 @@
 #define SRC_SIM_CPU_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
+#include "src/sim/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -75,7 +75,7 @@ class CpuCore {
   Simulator* sim_;
   std::string name_;
   uint32_t domain_;
-  std::deque<Work> queue_;
+  Fifo<Work> queue_;
   bool busy_ = false;
   TimePoint current_started_;
   Duration busy_accum_;

@@ -49,8 +49,7 @@ LogHistogram::LogHistogram(double min_value, double max_value, int buckets_per_d
     : min_value_(min_value), log_min_(std::log(min_value)) {
   assert(min_value > 0 && max_value > min_value && buckets_per_decade > 0);
   scale_ = static_cast<double>(buckets_per_decade) / std::log(10.0);
-  const size_t n = static_cast<size_t>((std::log(max_value) - log_min_) * scale_) + 2;
-  counts_.assign(n, 0);
+  num_buckets_ = static_cast<size_t>((std::log(max_value) - log_min_) * scale_) + 2;
 }
 
 size_t LogHistogram::BucketFor(double value) const {
@@ -71,13 +70,16 @@ void LogHistogram::Add(double value) {
     return;
   }
   const size_t idx = BucketFor(value);
-  if (idx >= counts_.size()) {
+  if (idx >= num_buckets_) {
     // Above the configured range: count explicitly instead of silently
     // clamping into the last bucket (which would cap high quantiles at the
     // last bucket's upper bound and misreport the overflow mass as lying
     // inside the range).
     ++overflow_;
     return;
+  }
+  if (counts_.empty()) {
+    counts_.assign(num_buckets_, 0);
   }
   ++counts_[idx];
 }
@@ -107,10 +109,14 @@ double LogHistogram::Quantile(double q) const {
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
-  assert(counts_.size() == other.counts_.size());
+  assert(num_buckets_ == other.num_buckets_);
   assert(min_value_ == other.min_value_ && scale_ == other.scale_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
+  if (counts_.empty()) {
+    counts_ = other.counts_;
+  } else if (!other.counts_.empty()) {
+    for (size_t i = 0; i < num_buckets_; ++i) {
+      counts_[i] += other.counts_[i];
+    }
   }
   count_ += other.count_;
   underflow_ += other.underflow_;

@@ -39,7 +39,10 @@ class RunningStats {
 
 // Log-bucketed histogram for nonnegative values (e.g. latencies in ns).
 // Buckets grow geometrically from `min_value` to `max_value`; queries return
-// an upper bound of the bucket containing the requested quantile.
+// an upper bound of the bucket containing the requested quantile. The bucket
+// array is allocated by the first in-range Add (or Merge of a histogram that
+// has one), so a histogram that never records costs a few words — a fleet
+// holds one per client whether or not it ever samples.
 class LogHistogram {
  public:
   // `buckets_per_decade` controls resolution (higher = finer, more memory).
@@ -72,7 +75,8 @@ class LogHistogram {
   double min_value_;
   double log_min_;
   double scale_;  // Buckets per natural-log unit.
-  std::vector<int64_t> counts_;
+  size_t num_buckets_;
+  std::vector<int64_t> counts_;  // Empty until a sample lands in a bucket.
   int64_t count_ = 0;
   int64_t underflow_ = 0;
   int64_t overflow_ = 0;

@@ -14,10 +14,10 @@
 #define SRC_TCP_BYTE_STREAM_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "src/sim/fifo.h"
 #include "src/sim/time.h"
 
 namespace e2e {
@@ -79,7 +79,7 @@ class ByteStreamQueue {
  private:
   uint64_t head_;
   uint64_t tail_;
-  std::deque<BoundaryEntry> boundaries_;  // Sorted by end_offset.
+  Fifo<BoundaryEntry> boundaries_;  // Sorted by end_offset.
 };
 
 }  // namespace e2e

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "src/core/estimator.h"
 #include "src/core/hints.h"
 #include "src/net/host.h"
+#include "src/sim/fifo.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/byte_stream.h"
 #include "src/tcp/rtt.h"
@@ -431,7 +431,7 @@ class TcpEndpoint {
   // the SACK block containing it listed first.
   uint64_t last_ooo_arrival_ = 0;
   EventId delack_timer_ = kInvalidEventId;
-  std::deque<uint64_t> unacked_rx_boundaries_;  // Syscall-unit ackdelay queue.
+  Fifo<uint64_t> unacked_rx_boundaries_;  // Syscall-unit ackdelay queue.
   // ECN receiver state. Classic ECN (RFC 3168) latches the echo until the
   // peer answers with CWR; DCTCP (RFC 8257) instead echoes the CE state of
   // the segments covered by each individual ack (the latch clears whenever

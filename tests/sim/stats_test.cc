@@ -150,6 +150,47 @@ TEST(LogHistogramTest, MergeCombinesOverflowAndUnderflow) {
   EXPECT_EQ(a.Quantile(1.0), 1e6);
 }
 
+TEST(LogHistogramTest, BucketlessHistogramsMergeAndReport) {
+  // Only out-of-range samples: no bucket is ever needed, and every query
+  // and merge still behaves as if the (all-zero) buckets existed.
+  LogHistogram tails(10.0, 1e3, 10);
+  tails.Add(1.0);  // Underflow.
+  tails.Add(5e6);  // Overflow.
+  EXPECT_EQ(tails.underflow(), 1);
+  EXPECT_EQ(tails.overflow(), 1);
+  EXPECT_EQ(tails.Quantile(0.0), 10.0);
+  EXPECT_EQ(tails.Quantile(0.5), 10.0);
+  EXPECT_EQ(tails.Quantile(1.0), 5e6);
+
+  LogHistogram empty(10.0, 1e3, 10);
+  empty.Merge(LogHistogram(10.0, 1e3, 10));
+  EXPECT_EQ(empty.count(), 0);
+  EXPECT_EQ(empty.Quantile(0.5), 0.0);
+  empty.Merge(tails);
+  EXPECT_EQ(empty.count(), 2);
+  EXPECT_EQ(empty.underflow(), 1);
+  EXPECT_EQ(empty.overflow(), 1);
+  EXPECT_EQ(empty.Quantile(1.0), 5e6);
+
+  // A bucketed histogram merged into a bucketless one, and the reverse.
+  LogHistogram in_range(10.0, 1e3, 10);
+  in_range.Add(50.0);
+  tails.Merge(in_range);
+  in_range.Merge(empty);
+  for (const LogHistogram* h : {&tails, &in_range}) {
+    EXPECT_EQ(h->count(), 3);
+    EXPECT_EQ(h->underflow(), 1);
+    EXPECT_EQ(h->overflow(), 1);
+    EXPECT_EQ(h->Quantile(0.0), 10.0);
+    EXPECT_NEAR(h->Quantile(0.5), 50.0, 50.0 * 0.3);
+    EXPECT_EQ(h->Quantile(1.0), 5e6);
+  }
+  EXPECT_EQ(tails.Quantile(0.5), in_range.Quantile(0.5));
+  tails.Clear();
+  EXPECT_EQ(tails.count(), 0);
+  EXPECT_EQ(tails.Quantile(0.5), 0.0);
+}
+
 TEST(TimeWeightedTest, PaperWorkedExample) {
   // 1 item for 10 us then 4 items for 20 us -> average 3.
   TimeWeighted tw(TimePoint::Zero(), 1.0);
